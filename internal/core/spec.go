@@ -7,10 +7,12 @@ import (
 
 // This file exports the model's internal structure to internal/plan, the
 // compiled execution engine. A ModelSpec is a read-only structural view: it
-// aliases the live parameter matrices (no copies), so a compiled plan always
-// scores the weights the model currently holds, and it carries exactly the
-// ablation/mask state the tape-driven forward (forward.go) consults — the
-// compiler lowers the same graph the tape interprets, nothing more.
+// aliases the live parameter matrices (no copies), so a compiled plan's
+// Score, Forward and Backward use the weights the model currently holds
+// (ScoreFast memoises some projections; see internal/plan), and it carries
+// exactly the ablation/mask state the tape-driven forward (forward.go)
+// consults — the compiler lowers the same graph the tape interprets, nothing
+// more.
 
 // AttnSpec is the projection triple of one self-attention head.
 type AttnSpec struct {

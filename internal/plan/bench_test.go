@@ -8,12 +8,13 @@ import (
 	"seqfm/internal/core"
 	"seqfm/internal/feature"
 	"seqfm/internal/plan"
+	"seqfm/internal/tensor"
 )
 
 // benchModel is the paper's default configuration {d=64, l=1, n.=20} on the
 // serving-benchmark space — the workload whose per-instance cost the compiled
 // engine exists to cut.
-func benchModel(b *testing.B) (*core.Model, feature.Instance) {
+func benchModel(b testing.TB) (*core.Model, feature.Instance) {
 	b.Helper()
 	cfg := core.DefaultConfig(feature.Space{NumUsers: 1000, NumObjects: 2000})
 	m, err := core.New(cfg)
@@ -50,6 +51,46 @@ func BenchmarkExecScore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = e.Score(inst)
+	}
+}
+
+// warmScoreFast readies the serving hot path on the bench model: a compiled
+// dynamic state for the instance's history, its static-view vector, and the
+// cross view's row memo filled for the instance's static rows.
+func warmScoreFast(tb testing.TB) (*plan.Exec, *core.DynState, feature.Instance, *tensor.Matrix) {
+	m, inst := benchModel(tb)
+	pl, err := plan.For(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := pl.NewExec()
+	dyn := e.PrecomputeDynamic(inst.Hist)
+	_, hS := e.ScoreFast(dyn, inst, nil)
+	return e, dyn, inst, hS
+}
+
+// BenchmarkExecScoreFast is one warm top-K candidate, the serving engine's
+// hot path: dynamic state and static view cached, row memo filled, so only
+// the cross view's attention and FFN and the projection run.
+func BenchmarkExecScoreFast(b *testing.B) {
+	e, dyn, inst, hS := warmScoreFast(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = e.ScoreFast(dyn, inst, hS)
+	}
+}
+
+// TestWarmScoringAllocatesNothing pins the 0 allocs/op of both inference
+// paths once warm: ScoreFast after its row memo is filled, and Score, which
+// never reads the memo.
+func TestWarmScoringAllocatesNothing(t *testing.T) {
+	e, dyn, inst, hS := warmScoreFast(t)
+	if a := testing.AllocsPerRun(100, func() { e.ScoreFast(dyn, inst, hS) }); a != 0 {
+		t.Errorf("warm ScoreFast: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { e.Score(inst) }); a != 0 {
+		t.Errorf("Score: %v allocs/op, want 0", a)
 	}
 }
 

@@ -428,9 +428,12 @@ func staticIndicesInto(dst []int, sp feature.Space, inst feature.Instance) []int
 
 // scoreCandidate attaches one candidate to the prepared dynamic state — the
 // compiled core.forwardCandidate. hS, when non-nil, is injected in place of
-// computing the static view (serving cache hit). It returns the raw score and
-// the freshly computed static-view vector (nil when injected or ablated).
-func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool, hS *tensor.Matrix) (float64, *tensor.Matrix) {
+// computing the static view (serving cache hit). rowMemo reads the cross
+// view's static-row projections from the plan's memo (Plan.crossRow) instead
+// of projecting the gathered rows against the live weights (ScoreFast only).
+// It returns the raw score and the freshly computed static-view vector (nil
+// when injected or ablated).
+func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool, hS *tensor.Matrix, rowMemo bool) (float64, *tensor.Matrix) {
 	p := e.plan
 	sp := p.spec.Cfg.Space
 	sl.staticIdx = staticIndicesInto(sl.staticIdx, sp, inst)
@@ -477,13 +480,22 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 		if p.maskPad {
 			mask = p.spec.CrossPad[e.padCount]
 		}
-		gatherS()
-		// Static row-blocks projected fresh; dynamic row-blocks copied from
-		// the shared phase — the same row-split core.forwardCandidate records
-		// via ConcatRows.
-		tensor.MatMulInto(sl.qxTop, sl.eS, p.spec.AttnX.WQ.Value)
-		tensor.MatMulInto(sl.kxTop, sl.eS, p.spec.AttnX.WK.Value)
-		tensor.MatMulInto(sl.vxTop, sl.eS, p.spec.AttnX.WV.Value)
+		// Static row-blocks projected fresh (or read from the row memo);
+		// dynamic row-blocks copied from the shared phase — the same
+		// row-split core.forwardCandidate records via ConcatRows.
+		if rowMemo {
+			for i, ix := range sl.staticIdx {
+				row := p.crossRow(ix)
+				copy(sl.qxTop.Row(i), row[:d])
+				copy(sl.kxTop.Row(i), row[d:2*d])
+				copy(sl.vxTop.Row(i), row[2*d:])
+			}
+		} else {
+			gatherS()
+			tensor.MatMulInto(sl.qxTop, sl.eS, p.spec.AttnX.WQ.Value)
+			tensor.MatMulInto(sl.kxTop, sl.eS, p.spec.AttnX.WK.Value)
+			tensor.MatMulInto(sl.vxTop, sl.eS, p.spec.AttnX.WV.Value)
+		}
 		copy(sl.qx.Data[p.s*d:], e.qD.Data)
 		copy(sl.kx.Data[p.s*d:], e.kD.Data)
 		copy(sl.vx.Data[p.s*d:], e.vD.Data)
@@ -507,7 +519,7 @@ func (e *Exec) Score(inst feature.Instance) float64 {
 	e.fwdTraining = false
 	e.beginDynamic(inst.Hist, false)
 	e.ensureSlots(1)
-	score, _ := e.scoreCandidate(e.slots[0], inst, false, nil)
+	score, _ := e.scoreCandidate(e.slots[0], inst, false, nil, false)
 	return score
 }
 
@@ -527,7 +539,7 @@ func (e *Exec) Forward(insts []feature.Instance, training bool) []float64 {
 	e.ensureSlots(len(insts))
 	e.scores = e.scores[:0]
 	for i, inst := range insts {
-		s, _ := e.scoreCandidate(e.slots[i], inst, training, nil)
+		s, _ := e.scoreCandidate(e.slots[i], inst, training, nil, false)
 		e.scores = append(e.scores, s)
 	}
 	e.nCand = len(insts)
@@ -559,7 +571,10 @@ func (e *Exec) PrecomputeDynamic(hist []int) *core.DynState {
 
 // ScoreFast scores inst against a cached dynamic state, the compiled
 // core.Model.ScoreFast: same contract, same bit-exact scores, same static-view
-// vector caching (hS in, possibly-fresh clone out).
+// vector caching (hS in, possibly-fresh clone out). Like st and hS, the cross
+// view's static-row projections are memoised on the Plan from the weights at
+// first touch, so the Plan's weights must stay frozen once it serves
+// ScoreFast.
 func (e *Exec) ScoreFast(st *core.DynState, inst feature.Instance, hS *tensor.Matrix) (float64, *tensor.Matrix) {
 	e.fwdTraining = false
 	parts := st.Parts()
@@ -568,7 +583,7 @@ func (e *Exec) ScoreFast(st *core.DynState, inst feature.Instance, hS *tensor.Ma
 	e.hD = parts.HD
 	e.qD, e.kD, e.vD = parts.QD, parts.KD, parts.VD
 	e.ensureSlots(1)
-	score, hSOut := e.scoreCandidate(e.slots[0], inst, false, hS)
+	score, hSOut := e.scoreCandidate(e.slots[0], inst, false, hS, true)
 	if hS == nil && hSOut != nil {
 		hS = hSOut.Clone()
 	}

@@ -33,6 +33,12 @@
 //     and the cross-view FFN, layer by layer, element by element), so a
 //     compiled run seeded like a tape run sees identical masks and therefore
 //     identical forward values even in training mode.
+//   - Score, Forward and Backward read the model's live parameter matrices
+//     on every call. ScoreFast, whose DynState and static-view inputs already
+//     assume frozen weights, additionally reads the cross view's static-row
+//     projections from a per-Plan memo filled on first touch (see
+//     Plan.crossRow): once a Plan has served ScoreFast, its weights must not
+//     change for the rest of its life — recompile after an in-place update.
 //
 // The tape engine remains the oracle: anything plan cannot compile (the
 // baseline models, future graph changes) falls back to it, and the parity
@@ -43,8 +49,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"seqfm/internal/core"
+	"seqfm/internal/tensor"
 )
 
 // Plan is the compiled execution plan for one model: dimensions, ablation
@@ -52,9 +60,13 @@ import (
 // Compile and safe for concurrent use; per-goroutine mutable state lives in
 // Exec values (NewExec / Get / Put).
 //
-// The Plan aliases the model's live parameter matrices, so it always scores
-// the weights the model currently holds — optimizer steps need no recompile.
-// Structural changes (a different Config or ablation) need a new Plan.
+// The Plan aliases the model's live parameter matrices, so Score, Forward
+// and Backward always use the weights the model currently holds — optimizer
+// steps need no recompile. ScoreFast is the exception: it reads memoised
+// projections that keep the weights they were computed from, so a Plan that
+// has served ScoreFast must be recompiled (plan.For) after any in-place
+// weight update. Structural changes (a different Config or ablation) need a
+// new Plan.
 type Plan struct {
 	spec core.ModelSpec
 
@@ -70,6 +82,11 @@ type Plan struct {
 	invSqrtD float64
 
 	pool sync.Pool
+
+	// crossRows is ScoreFast's memo of the cross view's static-row
+	// projections, one slot per static-embedding row (nil without the cross
+	// view); see crossRow.
+	crossRows []atomic.Pointer[[]float64]
 }
 
 // Compile lowers spec into an execution plan. It fails on specs the compiler
@@ -118,6 +135,9 @@ func Compile(spec core.ModelSpec) (*Plan, error) {
 	if want := p.nViews * p.d; spec.Proj.Value.Cols != want {
 		return nil, fmt.Errorf("plan: projection is 1x%d, want 1x%d", spec.Proj.Value.Cols, want)
 	}
+	if p.hasX {
+		p.crossRows = make([]atomic.Pointer[[]float64], spec.EmbS.Value.Rows)
+	}
 	p.pool.New = func() any { return p.NewExec() }
 	return p, nil
 }
@@ -143,6 +163,32 @@ func For(m any) (*Plan, error) {
 // should not.
 func (p *Plan) Get() *Exec  { return p.pool.Get().(*Exec) }
 func (p *Plan) Put(e *Exec) { p.pool.Put(e) }
+
+// crossRow returns static-embedding row r projected by the cross view's
+// weights, EmbS[r]·AttnX.{WQ,WK,WV}, as one 3·d slice (Q, then K, then V),
+// computing it on first touch. The projection runs tensor.MatMulInto on a
+// 1×d view of the row: each output row of MatMulInto depends only on its own
+// input row, accumulated in the same order, so the memoised values are
+// bit-identical to the rows of the s×d product scoreCandidate computes from
+// the gathered block. Racing fills compute identical bits; the first
+// compare-and-swap publishes and the rest adopt its slice.
+func (p *Plan) crossRow(r int) []float64 {
+	slot := &p.crossRows[r]
+	if row := slot.Load(); row != nil {
+		return *row
+	}
+	d := p.d
+	row := make([]float64, 3*d)
+	in := tensor.FromSlice(1, d, p.spec.EmbS.Value.Row(r))
+	x := p.spec.AttnX
+	tensor.MatMulInto(tensor.FromSlice(1, d, row[:d]), in, x.WQ.Value)
+	tensor.MatMulInto(tensor.FromSlice(1, d, row[d:2*d]), in, x.WK.Value)
+	tensor.MatMulInto(tensor.FromSlice(1, d, row[2*d:]), in, x.WV.Value)
+	if !slot.CompareAndSwap(nil, &row) {
+		return *slot.Load()
+	}
+	return row
+}
 
 // Views returns the number of active attention views.
 func (p *Plan) Views() int { return p.nViews }

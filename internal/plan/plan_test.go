@@ -3,6 +3,7 @@ package plan_test
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"seqfm/internal/ag"
@@ -492,5 +493,160 @@ func TestExecPoolRoundTrip(t *testing.T) {
 			t.Fatalf("round %d: pooled exec score %v != %v", i, got, want)
 		}
 		p.Put(e)
+	}
+}
+
+// tapeScoreFast is the cached-path oracle: core.Model.ScoreFast over a
+// tape-built DynState, each on a fresh tape.
+func tapeScoreFast(m *core.Model, inst feature.Instance) float64 {
+	dyn := m.PrecomputeDynamic(ag.NewTape(), inst.Hist)
+	s, _ := m.ScoreFast(ag.NewTape(), dyn, inst, nil)
+	return s
+}
+
+// rowMemoInstances spans static rows: every user, targets on both sides of
+// the catalog and, when the space has them, every user/target attribute
+// value, against a history with exactly pad padded positions.
+func rowMemoInstances(sp feature.Space, maxSeqLen, pad int) []feature.Instance {
+	hist := make([]int, maxSeqLen-pad)
+	for i := range hist {
+		hist[i] = (3*i + 1) % sp.NumObjects
+	}
+	var insts []feature.Instance
+	for u := 0; u < sp.NumUsers; u++ {
+		inst := feature.Instance{
+			User: u, Target: (5 * u) % sp.NumObjects, Hist: hist,
+			UserAttr: feature.Pad, TargetAttr: feature.Pad,
+		}
+		if sp.NumUserAttrs > 0 {
+			inst.UserAttr = u % sp.NumUserAttrs
+		}
+		if sp.NumItemAttrs > 0 {
+			inst.TargetAttr = (u + 1) % sp.NumItemAttrs
+		}
+		insts = append(insts, inst)
+	}
+	return insts
+}
+
+// TestScoreFastRowMemoMatchesTape pins ScoreFast's cross-view row memo: the
+// compiled ScoreFast equals the tape's ScoreFast bit for bit on the call that
+// fills a row and on the calls that read it back, with and without a cached
+// static view, for every ablation (the memo is unused under noCross), with
+// attribute rows, and at every pad count 0..n.
+func TestScoreFastRowMemoMatchesTape(t *testing.T) {
+	for name, base := range parityConfigs() {
+		for _, attrs := range []bool{false, true} {
+			cfg := base
+			if attrs {
+				cfg.Space.NumUserAttrs = 3
+				cfg.Space.NumItemAttrs = 4
+			}
+			m, err := core.New(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			e := compileFor(t, m).NewExec()
+			for pad := 0; pad <= cfg.MaxSeqLen; pad++ {
+				insts := rowMemoInstances(cfg.Space, cfg.MaxSeqLen, pad)
+				dyn := e.PrecomputeDynamic(insts[0].Hist)
+				for pass := 0; pass < 2; pass++ { // pass 0 fills rows, pass 1 reads them
+					for i, inst := range insts {
+						want := tapeScoreFast(m, inst)
+						got, hS := e.ScoreFast(dyn, inst, nil)
+						if got != want {
+							t.Errorf("%s attrs=%v pad %d pass %d inst %d: compiled=%v, tape=%v", name, attrs, pad, pass, i, got, want)
+						}
+						if got, _ := e.ScoreFast(dyn, inst, hS); got != want {
+							t.Errorf("%s attrs=%v pad %d pass %d inst %d warm hS: compiled=%v, tape=%v", name, attrs, pad, pass, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowMemoConcurrentFill races several Execs of one Plan through the same
+// static rows, so concurrent first touches fill each memo slot at once; run
+// under -race it checks the fill's publication, and every score must still
+// equal the tape's.
+func TestRowMemoConcurrentFill(t *testing.T) {
+	cfg := testConfig()
+	cfg.Space.NumUserAttrs = 3
+	cfg.Space.NumItemAttrs = 4
+	m, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := rowMemoInstances(cfg.Space, cfg.MaxSeqLen, 1)
+	want := make([]float64, len(insts))
+	for i, inst := range insts {
+		want[i] = tapeScoreFast(m, inst)
+	}
+	const workers = 4
+	for round := 0; round < 8; round++ {
+		p := compileFor(t, m) // a fresh, empty memo every round
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			e := p.NewExec()
+			dyn := e.PrecomputeDynamic(insts[0].Hist)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i, inst := range insts {
+					if got, _ := e.ScoreFast(dyn, inst, nil); got != want[i] {
+						t.Errorf("round %d inst %d: compiled=%v, tape=%v", round, i, got, want[i])
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
+// TestScoreIgnoresRowMemo pins the memo's scope: Score and Forward read the
+// live weights even after ScoreFast has filled the memo, so an in-place
+// update of the cross view's weights and of a static embedding row is seen
+// at once.
+func TestScoreIgnoresRowMemo(t *testing.T) {
+	m, err := core.New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := compileFor(t, m).NewExec()
+	insts := candidateSet(3)
+	dyn := e.PrecomputeDynamic(insts[0].Hist)
+	before := make([]float64, len(insts))
+	for i, inst := range insts {
+		before[i], _ = e.ScoreFast(dyn, inst, nil)
+	}
+
+	spec := m.Spec()
+	for j := range spec.AttnX.WQ.Value.Data {
+		spec.AttnX.WQ.Value.Data[j] += 0.05 * float64(j%7-3)
+	}
+	row := spec.EmbS.Value.Row(insts[0].User)
+	for j := range row {
+		row[j] += 0.3
+	}
+
+	for i, inst := range insts {
+		want := scoreRef(m, inst)
+		if want == before[i] {
+			t.Fatalf("inst %d: perturbation did not move the tape score", i)
+		}
+		if got := e.Score(inst); got != want {
+			t.Errorf("inst %d: Score=%v, tape=%v on the perturbed weights", i, got, want)
+		}
+	}
+	scores := e.Forward(insts, false)
+	for i, inst := range insts {
+		if want := scoreRef(m, inst); scores[i] != want {
+			t.Errorf("inst %d: Forward=%v, tape=%v on the perturbed weights", i, scores[i], want)
+		}
 	}
 }

@@ -99,10 +99,13 @@ type Config struct {
 	Workers int
 	// StaticCacheSize bounds the static-view memo (entries keyed by user,
 	// candidate and attrs). 0 means DefaultStaticCacheSize; negative
-	// disables the cache.
+	// disables the cache. Neither size bounds the compiled plan's
+	// cross-view row memo (at most 3× the static embedding table, filled
+	// only for rows traffic touches), which dies with its generation.
 	StaticCacheSize int
 	// DynCacheSize bounds the dynamic-state memo (entries keyed by
 	// history). 0 means DefaultDynCacheSize; negative disables the cache.
+	// Like StaticCacheSize, it does not bound the plan's row memo.
 	DynCacheSize int
 	// BatchSize is the accumulator flush threshold for single-instance
 	// Score requests. 0 means DefaultBatchSize; 1 disables accumulation

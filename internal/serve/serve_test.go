@@ -274,8 +274,19 @@ func TestInvalidateCachesAfterWeightUpdate(t *testing.T) {
 	if s := e.Stats(); s.StaticEntries == 0 || s.DynEntries == 0 {
 		t.Fatalf("caches empty after a batch: %+v", s)
 	}
-	// Perturb a weight: cached vectors are now stale.
+	// Perturb weights: cached vectors are now stale. Params()[0] is the
+	// global bias; the cross view's query weights and a static embedding row
+	// also feed the plan's memoised cross-view row projections, which must
+	// not survive InvalidateCaches either.
 	m.Params()[0].Value.Data[0] += 0.5
+	spec := m.Spec()
+	for j := range spec.AttnX.WQ.Value.Data {
+		spec.AttnX.WQ.Value.Data[j] += 0.05 * float64(j%7-3)
+	}
+	row := spec.EmbS.Value.Row(insts[0].User)
+	for j := range row {
+		row[j] += 0.3
+	}
 	e.InvalidateCaches()
 	if s := e.Stats(); s.StaticEntries != 0 || s.DynEntries != 0 {
 		t.Fatalf("InvalidateCaches left entries: %+v", s)
