@@ -253,9 +253,9 @@ func BenchmarkSeqFMSequenceLengths(b *testing.B) {
 // The serving scenario: rank J=100 candidate objects against one user's
 // history, repeatedly. The naive baseline is what EvalRanking does per test
 // case — one fresh tape and one full forward pass per candidate. The engine
-// amortises the dynamic view across candidates, reuses pooled tapes, serves
-// repeated (user, candidate) pairs from the static-view cache, and fans out
-// over workers. Compare:
+// amortises the dynamic view across candidates, scores on the compiled plan
+// with pooled execution buffers, serves repeated (user, candidate) pairs
+// from the static-view cache, and fans out over workers. Compare:
 //
 //	go test -bench='BenchmarkServe' -benchmem
 //
@@ -295,7 +295,7 @@ func BenchmarkServeNaivePerInstance(b *testing.B) {
 }
 
 // BenchmarkServeTopKColdSingleWorker isolates the algorithmic win (shared
-// dynamic view + tape reuse) from parallelism and cache warmth: one worker,
+// dynamic view + compiled plan) from parallelism and cache warmth: one worker,
 // caches disabled.
 func BenchmarkServeTopKColdSingleWorker(b *testing.B) {
 	m, inst, candidates := benchServingSetup(b)
@@ -597,17 +597,15 @@ func BenchmarkIndexRecommend(b *testing.B) {
 // BPR epoch draws 1+N candidates per positive, and the candidate-independent
 // dynamic subgraph (dynamic view, dynamic linear/embedding halves, dynamic
 // Q/K/V row-blocks of the cross view) is identical across those candidates.
-// The pre-refactor engine (train.LegacyRanking: fresh tape per instance, one
-// full Score per candidate, per-instance mutex flush) pays for it 1+N times;
-// the sharded engine (train.Ranking) records it once per instance and
-// backpropagates through it once, with per-worker tapes and gradient shards.
-// Compare:
+// The sharded engine (train.Ranking) records it once per instance and
+// backpropagates through it once, with per-worker tapes and gradient shards;
+// the compiled engine runs the same split on a preallocated plan. Compare:
 //
 //	go test -bench='BenchmarkTrain' -benchmem
 //
-// The acceptance bar is ≥2× over the legacy path for a ranking epoch at
-// Negatives=5 on one core; EXPERIMENTS.md records reference numbers and
-// seqfm-bench -mode train emits the machine-readable BENCH_train.json.
+// EXPERIMENTS.md records reference numbers (including those of the removed
+// per-candidate legacy engine) and seqfm-bench -mode train emits the
+// machine-readable BENCH_train.json.
 
 // benchTrainSetup builds the standard training-benchmark workload — a small
 // synthetic check-in dataset and a SeqFM at the paper's default
@@ -626,25 +624,8 @@ func benchTrainConfig(negatives, workers int) seqfm.TrainConfig {
 	return train.BenchConfig(negatives, workers)
 }
 
-// BenchmarkTrainRankingLegacy is the pre-refactor reference: per-candidate
-// monolithic forwards, fresh per-instance tapes, mutex gradient flushes.
-func BenchmarkTrainRankingLegacy(b *testing.B) {
-	for _, n := range []int{1, 5, 10} {
-		b.Run(benchName("neg", n), func(b *testing.B) {
-			m, split := benchTrainSetup(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := train.LegacyRanking(m, split, benchTrainConfig(n, 1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTrainRankingEngine is the sharded candidate-sharing engine on one
-// core — the apples-to-apples comparison against the legacy path.
+// core.
 func BenchmarkTrainRankingEngine(b *testing.B) {
 	for _, n := range []int{1, 5, 10} {
 		b.Run(benchName("neg", n), func(b *testing.B) {

@@ -197,7 +197,7 @@ func main() {
 // trainBenchEntry is one measured configuration of a one-epoch training run.
 type trainBenchEntry struct {
 	Task        string  `json:"task"`
-	Engine      string  `json:"engine"` // "legacy", "engine" (sharded tape) or "compiled" (plan)
+	Engine      string  `json:"engine"` // "engine" (sharded tape) or "compiled" (plan)
 	Negatives   int     `json:"negatives"`
 	Workers     int     `json:"workers"`
 	NsPerOp     int64   `json:"ns_per_op"`
@@ -223,7 +223,7 @@ type trainBenchReport struct {
 // Negatives=5, which is what CI's perf-smoke step measures.
 func runTrainBench(outPath string, quick bool) error {
 	// The JSON engine labels map onto train.Config.Engine: "compiled" is the
-	// plan engine, "engine" (the sharded tape) and "legacy" run on the tape.
+	// plan engine, "engine" the sharded tape.
 	cfg := func(negatives int, engine string) train.Config {
 		c := train.BenchConfig(negatives, 1)
 		if engine == "compiled" {
@@ -252,7 +252,6 @@ func runTrainBench(outPath string, quick bool) error {
 	} else {
 		for _, n := range []int{1, 5, 10} {
 			jobs = append(jobs,
-				job{"ranking", "legacy", n, train.LegacyRanking},
 				job{"ranking", "engine", n, train.Ranking},
 				job{"ranking", "compiled", n, train.Ranking},
 			)
@@ -304,19 +303,14 @@ func runTrainBench(outPath string, quick bool) error {
 			j.task, j.engine, j.negatives, e.SecPerEpoch, e.AllocsPerOp)
 	}
 
-	// Speedup summaries: legacy vs tape engine, and tape vs compiled, per
-	// negatives count.
+	// Speedup summary: tape vs compiled, per negatives count.
 	byKey := map[string]trainBenchEntry{}
 	for _, e := range report.Entries {
 		byKey[fmt.Sprintf("%s/%s/%d", e.Task, e.Engine, e.Negatives)] = e
 	}
 	for _, n := range []int{1, 5, 10} {
-		l, okL := byKey[fmt.Sprintf("ranking/legacy/%d", n)]
 		g, okG := byKey[fmt.Sprintf("ranking/engine/%d", n)]
 		c, okC := byKey[fmt.Sprintf("ranking/compiled/%d", n)]
-		if okL && okG && g.NsPerOp > 0 {
-			fmt.Printf("ranking neg=%-2d engine   speedup over legacy: %.2fx\n", n, float64(l.NsPerOp)/float64(g.NsPerOp))
-		}
 		if okG && okC && c.NsPerOp > 0 {
 			fmt.Printf("ranking neg=%-2d compiled speedup over tape:   %.2fx\n", n, float64(g.NsPerOp)/float64(c.NsPerOp))
 		}

@@ -16,7 +16,7 @@ import (
 // serveBenchEntry is one measured serving configuration.
 type serveBenchEntry struct {
 	Name        string `json:"name"`
-	Engine      string `json:"engine"` // "compiled" (plan, the default) or "tape"
+	Engine      string `json:"engine"` // always "compiled": SeqFM serves through its plan
 	Workers     int    `json:"workers"`
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
@@ -54,19 +54,16 @@ func runServeBench(outPath string) error {
 		Workload:    fmt.Sprintf("space=1000x2000 seqfm d=64 l=1 n.=20 J=%d", serve.BenchJ),
 	}
 
-	// Each base job runs twice: once on the default compiled plan engine and
-	// once forced onto the tape (the "_tape" rows), so BENCH_serve.json keeps
-	// the two serving engines side by side.
 	type job struct {
 		name    string
 		workers int
-		run     func(b *testing.B, m *core.Model, ecfg serve.Config, inst feature.Instance, candidates []int)
+		run     func(b *testing.B, m *core.Model, inst feature.Instance, candidates []int)
 	}
-	base := []job{
-		{"topk_cold_single", 1, func(b *testing.B, m *core.Model, ecfg serve.Config, inst feature.Instance, candidates []int) {
+	jobs := []job{
+		{"topk_cold_single", 1, func(b *testing.B, m *core.Model, inst feature.Instance, candidates []int) {
 			// Fresh engine per op: no cache warmth, no parallelism — the
 			// algorithmic win of the shared dynamic view alone.
-			ecfg.Workers, ecfg.StaticCacheSize, ecfg.DynCacheSize = 1, -1, -1
+			ecfg := serve.Config{Workers: 1, StaticCacheSize: -1, DynCacheSize: -1}
 			req := serve.TopKRequest{Base: inst, Candidates: candidates, K: 10}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -75,9 +72,8 @@ func runServeBench(outPath string) error {
 				eng.Close()
 			}
 		}},
-		{"topk_warm_single", 1, func(b *testing.B, m *core.Model, ecfg serve.Config, inst feature.Instance, candidates []int) {
-			ecfg.Workers = 1
-			eng := serve.NewEngine(m, ecfg)
+		{"topk_warm_single", 1, func(b *testing.B, m *core.Model, inst feature.Instance, candidates []int) {
+			eng := serve.NewEngine(m, serve.Config{Workers: 1})
 			defer eng.Close()
 			req := serve.TopKRequest{Base: inst, Candidates: candidates, K: 10}
 			_ = eng.TopK(req)
@@ -86,8 +82,8 @@ func runServeBench(outPath string) error {
 				_ = eng.TopK(req)
 			}
 		}},
-		{"topk_warm_parallel", 0, func(b *testing.B, m *core.Model, ecfg serve.Config, inst feature.Instance, candidates []int) {
-			eng := serve.NewEngine(m, ecfg)
+		{"topk_warm_parallel", 0, func(b *testing.B, m *core.Model, inst feature.Instance, candidates []int) {
+			eng := serve.NewEngine(m, serve.Config{})
 			defer eng.Close()
 			req := serve.TopKRequest{Base: inst, Candidates: candidates, K: 10}
 			_ = eng.TopK(req)
@@ -96,8 +92,8 @@ func runServeBench(outPath string) error {
 				_ = eng.TopK(req)
 			}
 		}},
-		{"score_batch", 0, func(b *testing.B, m *core.Model, ecfg serve.Config, inst feature.Instance, candidates []int) {
-			eng := serve.NewEngine(m, ecfg)
+		{"score_batch", 0, func(b *testing.B, m *core.Model, inst feature.Instance, candidates []int) {
+			eng := serve.NewEngine(m, serve.Config{})
 			defer eng.Close()
 			insts := make([]feature.Instance, len(candidates))
 			for i, c := range candidates {
@@ -117,42 +113,24 @@ func runServeBench(outPath string) error {
 	if err != nil {
 		return err
 	}
-	for _, j := range base {
-		for _, engine := range []string{serve.EngineCompiled, serve.EngineTape} {
-			name := j.name
-			if engine == serve.EngineTape {
-				name += "_tape"
-			}
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				j.run(b, m, serve.Config{Engine: engine}, inst, candidates)
-			})
-			workers := j.workers
-			if workers == 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			e := serveBenchEntry{
-				Name: name, Engine: engine, Workers: workers,
-				NsPerOp:     res.NsPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-			}
-			report.Entries = append(report.Entries, e)
-			fmt.Printf("%-24s workers=%-2d  %8.3fms/op  %d allocs/op\n",
-				name, workers, float64(e.NsPerOp)/1e6, e.AllocsPerOp)
+	for _, j := range jobs {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			j.run(b, m, inst, candidates)
+		})
+		workers := j.workers
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
-	}
-
-	// Engine speedup summary: tape vs compiled per base job.
-	byName := map[string]serveBenchEntry{}
-	for _, e := range report.Entries {
-		byName[e.Name] = e
-	}
-	for _, j := range base {
-		c, t := byName[j.name], byName[j.name+"_tape"]
-		if c.NsPerOp > 0 {
-			fmt.Printf("%-24s compiled speedup over tape: %.2fx\n", j.name, float64(t.NsPerOp)/float64(c.NsPerOp))
+		e := serveBenchEntry{
+			Name: j.name, Engine: serve.EngineCompiled, Workers: workers,
+			NsPerOp:     res.NsPerOp(),
+			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
 		}
+		report.Entries = append(report.Entries, e)
+		fmt.Printf("%-24s workers=%-2d  %8.3fms/op  %d allocs/op\n",
+			j.name, workers, float64(e.NsPerOp)/1e6, e.AllocsPerOp)
 	}
 
 	hs, err := runHotSwapBench(m, inst, candidates)
@@ -185,7 +163,7 @@ func runHotSwapBench(m *core.Model, inst feature.Instance, candidates []int) (sw
 	eng := serve.NewEngine(m, serve.Config{})
 	defer eng.Close()
 	req := serve.TopKRequest{Base: inst, Candidates: candidates, K: 10}
-	for i := 0; i < 3; i++ { // warm caches and tape pool
+	for i := 0; i < 3; i++ { // warm caches and the plan's exec pool
 		_ = eng.TopK(req)
 	}
 

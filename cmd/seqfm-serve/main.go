@@ -80,11 +80,11 @@
 // primary, reads spread across its followers with primary fallback, and a
 // 409 fence triggers one map reload + retry.
 //
-// Engines and observability: -engine forces the scoring engine — "compiled"
-// (the preallocated plan engine, the default for SeqFM) or "tape" (the
-// autodiff reference path); with -online it selects the fine-tuning engine
-// too, so a follower must be started with its primary's -engine. /v1/model
-// reports which engine the serving generation runs on. GET /metrics serves
+// Engines and observability: SeqFM always serves through its compiled
+// execution plan (a baseline arm through its autodiff tape); /v1/model
+// reports which engine the serving generation runs on. -engine selects only
+// the fine-tuning engine of -online — "tape" (the default) or "compiled" —
+// so a follower must be started with its primary's -engine. GET /metrics serves
 // Prometheus text exposition and GET /v1/debug/slow the slow-request
 // exemplar ring. -pprof ADDR exposes net/http/pprof on a side listener kept
 // off the serving mux (and off its admission control), so profiles stay
@@ -152,7 +152,7 @@ func main() {
 		maxDelay    = flag.Duration("max-delay", 0, "micro-batch flush deadline (0 = default)")
 		staticCache = flag.Int("static-cache", 0, "static-view cache entries (0 = default, <0 = off)")
 		dynCache    = flag.Int("dyn-cache", 0, "dynamic-state cache entries (0 = default, <0 = off)")
-		engineSel   = flag.String("engine", "", "scoring/fine-tuning engine: compiled (plan; serving default) | tape (autodiff reference)")
+		engineSel   = flag.String("engine", "", "online fine-tuning engine: tape (default) | compiled (plan); serving always uses the compiled plan")
 		pprofAddr   = flag.String("pprof", "", "expose net/http/pprof on this side listener address, e.g. localhost:6060 (empty = off)")
 
 		indexOn      = flag.Bool("index", false, "build the full-catalog retrieval index (/v1/recommend)")
@@ -245,7 +245,7 @@ func main() {
 	requireFlag("-experiment", *experiment != "", "experiment-weight", "experiment-salt", "experiment-hr-sample")
 	requireFlag("-max-concurrent", *maxConc > 0, "admit-queue", "admit-wait")
 	switch *engineSel {
-	case "", serve.EngineTape, serve.EngineCompiled:
+	case "", train.EngineTape, train.EngineCompiled:
 	default:
 		fmt.Fprintf(os.Stderr, "seqfm-serve: unknown -engine %q (want tape or compiled)\n", *engineSel)
 		os.Exit(1)
@@ -275,7 +275,6 @@ func main() {
 			MaxDelay:        *maxDelay,
 			StaticCacheSize: *staticCache,
 			DynCacheSize:    *dynCache,
-			Engine:          *engineSel,
 		},
 		trainEngine: *engineSel,
 		pprof:       *pprofAddr,

@@ -3,11 +3,12 @@ package seqfm
 import "seqfm/internal/serve"
 
 // Engine is the batched inference engine (internal/serve): a serving-side
-// counterpart to the trainers that pools pre-sized autodiff tapes across
-// requests, caches the candidate-independent dynamic view per history and
-// the static view per (user, candidate, attrs), fans batches out over a
-// worker pool, and micro-batches concurrent single-instance requests. All
-// engine paths return scores bit-for-bit identical to per-instance Score.
+// counterpart to the trainers that scores SeqFM on its compiled execution
+// plan, caches the candidate-independent dynamic view per history and the
+// static view per (user, candidate, attrs), fans batches out over a worker
+// pool, and micro-batches concurrent single-instance requests. Baseline
+// models, which have no plan, score on pooled autodiff tapes. Every score is
+// bit-for-bit identical to per-instance Score on a fresh tape.
 //
 // Typical top-K serving:
 //
@@ -44,8 +45,8 @@ type TopKRequest = serve.TopKRequest
 type Item = serve.Item
 
 // NewEngine builds an inference engine over a model snapshot. SeqFM models
-// get the fully cached scoring path; baseline models (any Scorer) still get
-// tape reuse and parallel fan-out. The weights of the served model must stay
+// get the compiled, fully cached scoring path; baseline models (any Scorer)
+// still get tape reuse and parallel fan-out. The weights of the served model must stay
 // immutable while a generation serves them — to deploy new weights, publish
 // a clone with (*Engine).Swap (zero-downtime, non-blocking; see the online
 // subsystem), or call (*Engine).InvalidateCaches after an in-place update.

@@ -4,7 +4,7 @@ import (
 	"net/http"
 
 	"seqfm/internal/httpapi"
-	"seqfm/internal/metrics"
+	"seqfm/internal/obs"
 	"seqfm/internal/serve"
 	"seqfm/internal/traffic"
 )
@@ -79,10 +79,10 @@ func NewLimiter(cfg AdmissionConfig) *Limiter { return serve.NewLimiter(cfg) }
 
 // LatencyHist is a concurrent log-bucketed latency histogram (32 buckets per
 // decade from 1µs); Record is lock-free and Snapshot gives p50/p95/p99.
-type LatencyHist = metrics.LatencyHist
+type LatencyHist = obs.Histogram
 
 // LatencySnapshot is a LatencyHist summary.
-type LatencySnapshot = metrics.LatencySnapshot
+type LatencySnapshot = obs.Snapshot
 
 // ServerConfig wires the HTTP serving surface (internal/httpapi): the
 // engine and dataset are required; a learner enables /v1/feedback, an

@@ -120,6 +120,12 @@ func TestPromotionFencesDeposedPrimary(t *testing.T) {
 		}
 	}
 	lA.Sync()
+	// Sync appends A's publish marker without waiting for the group fsync,
+	// and CatchUp converges to A's durable position. Make the marker durable
+	// so F has no unpublished steps to publish at takeover.
+	if err := lA.WAL().Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := rep.CatchUp(); err != nil {
 		t.Fatal(err)
 	}

@@ -87,43 +87,20 @@ func (m *Model) Spec() ModelSpec {
 	return s
 }
 
-// DynParts is the exported value view of a DynState, used by the compiled
-// engine to build and consume dynamic-state snapshots interchangeable with
-// PrecomputeDynamic's. The matrices are referenced, not copied.
-type DynParts struct {
-	DynIdx   []int
-	PadCount int
-	LinD     float64
-	HD       *tensor.Matrix // nil under "Remove DV"
-	QD       *tensor.Matrix // nil under "Remove CV"
-	KD       *tensor.Matrix
-	VD       *tensor.Matrix
-}
-
-// Parts exposes the snapshot's values.
-func (s *DynState) Parts() DynParts {
-	return DynParts{
-		DynIdx:   s.dynIdx,
-		PadCount: s.padCount,
-		LinD:     s.linD,
-		HD:       s.hD,
-		QD:       s.qD,
-		KD:       s.kD,
-		VD:       s.vD,
-	}
-}
-
-// DynStateFromParts wraps p as a DynState. The matrices are adopted, not
-// cloned: the caller must hand over ownership (the compiled engine clones
-// them out of its scratch buffers first, mirroring PrecomputeDynamic).
-func DynStateFromParts(p DynParts) *DynState {
-	return &DynState{
-		dynIdx:   p.DynIdx,
-		padCount: p.PadCount,
-		linD:     p.LinD,
-		hD:       p.HD,
-		qD:       p.QD,
-		kD:       p.KD,
-		vD:       p.VD,
-	}
+// DynState is a value snapshot of the candidate-independent part of a SeqFM
+// forward pass for one user history — the values of a Dyn (forward.go). The
+// compiled engine builds it (plan.Exec.PrecomputeDynamic) and scores
+// candidates against it (plan.Exec.ScoreFast), so the serving engine pays
+// for the dynamic view once per history instead of once per candidate.
+//
+// A DynState holds plain matrices that it owns, so it outlives the buffers
+// that produced it — but it snapshots the weights: any parameter update
+// invalidates it.
+type DynState struct {
+	PadCount int            // leading padding positions (0 for histories of length ≥ n.)
+	LinD     float64        // Σ_j w·_j over the padded history (dynamic half of Eq. 4)
+	HD       *tensor.Matrix // 1×d dynamic-view output vector; nil under "Remove DV"
+	// QD/KD/VD are the dynamic row-blocks of the cross view's Q/K/V
+	// projections; nil under "Remove CV".
+	QD, KD, VD *tensor.Matrix
 }

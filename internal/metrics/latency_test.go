@@ -1,21 +1,27 @@
-package metrics
+package metrics_test
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"seqfm/internal/obs"
 )
 
+// Latency is reported next to this package's quality measures but recorded
+// into obs.Histogram; these tests pin the summary properties the serving and
+// experiment reports read from it.
+
 func TestLatencyHistEmpty(t *testing.T) {
-	var h LatencyHist
+	var h obs.Histogram
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Fatalf("empty histogram not all-zero: %+v", h.Snapshot())
 	}
 }
 
 func TestLatencyHistQuantiles(t *testing.T) {
-	var h LatencyHist
+	var h obs.Histogram
 	// 1..1000 ms uniformly: p50 ≈ 500ms, p99 ≈ 990ms, within the bucket
 	// resolution's ~7.5% relative error.
 	for i := 1; i <= 1000; i++ {
@@ -49,7 +55,7 @@ func TestLatencyHistQuantiles(t *testing.T) {
 }
 
 func TestLatencyHistBounds(t *testing.T) {
-	var h LatencyHist
+	var h obs.Histogram
 	h.Record(-time.Second) // clamped to 0
 	h.Record(0)
 	h.Record(100 * time.Hour) // beyond the top bucket
@@ -67,7 +73,7 @@ func TestLatencyHistBounds(t *testing.T) {
 }
 
 func TestLatencyHistConcurrent(t *testing.T) {
-	var h LatencyHist
+	var h obs.Histogram
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -11,53 +11,68 @@ import (
 // --- Histogram ---
 
 func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	// 1..1000µs uniform: p50 ≈ 500µs, p99 ≈ 990µs. The log bucketing bounds
-	// the relative error by one bucket step (10^(1/32) ≈ 1.075).
-	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d, want 1000", h.Count())
-	}
-	checks := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 500 * time.Microsecond},
-		{0.95, 950 * time.Microsecond},
-		{0.99, 990 * time.Microsecond},
-	}
-	for _, c := range checks {
-		got := h.Quantile(c.q)
-		ratio := float64(got) / float64(c.want)
-		if ratio < 1/1.08 || ratio > 1.08 {
-			t.Errorf("Quantile(%.2f) = %v, want ~%v (ratio %.3f outside one bucket step)", c.q, got, c.want, ratio)
+	// 1..1000 units uniform, in two decades of units: p50 ≈ 500, p99 ≈ 990,
+	// mean ≈ 500. The log bucketing bounds the relative error by one bucket
+	// step (10^(1/32) ≈ 1.075); Mean is exact up to integer nanoseconds.
+	for _, unit := range []time.Duration{time.Microsecond, time.Millisecond} {
+		var h Histogram
+		for i := 1; i <= 1000; i++ {
+			h.Record(time.Duration(i) * unit)
 		}
-	}
-	if h.Max() != 1000*time.Microsecond {
-		t.Errorf("Max = %v, want 1ms", h.Max())
-	}
-	if got := h.Quantile(1.0); got > h.Max() {
-		t.Errorf("Quantile(1.0) = %v exceeds Max %v", got, h.Max())
+		if h.Count() != 1000 {
+			t.Fatalf("unit %v: count = %d, want 1000", unit, h.Count())
+		}
+		checks := []struct {
+			q    float64
+			want time.Duration
+		}{
+			{0.50, 500 * unit},
+			{0.95, 950 * unit},
+			{0.99, 990 * unit},
+		}
+		for _, c := range checks {
+			got := h.Quantile(c.q)
+			ratio := float64(got) / float64(c.want)
+			if ratio < 1/1.08 || ratio > 1.08 {
+				t.Errorf("Quantile(%.2f) = %v, want ~%v (ratio %.3f outside one bucket step)", c.q, got, c.want, ratio)
+			}
+		}
+		if h.Max() != 1000*unit {
+			t.Errorf("Max = %v, want %v", h.Max(), 1000*unit)
+		}
+		if got := h.Quantile(1.0); got > h.Max() {
+			t.Errorf("Quantile(1.0) = %v exceeds Max %v", got, h.Max())
+		}
+		if mean := h.Mean(); mean < 480*unit || mean > 520*unit {
+			t.Errorf("Mean = %v, want ≈%v", mean, 500*unit)
+		}
 	}
 }
 
 func TestHistogramEdgeCases(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram must read 0")
-	}
-	h.Record(-time.Second) // clamps to 0
-	if h.Count() != 1 || h.Sum() != 0 {
-		t.Fatalf("negative record: count=%d sum=%v, want 1 and 0", h.Count(), h.Sum())
-	}
-	h.Record(24 * time.Hour) // beyond the last bucket; max keeps the honest value
-	if h.Max() != 24*time.Hour {
-		t.Fatalf("Max = %v, want 24h", h.Max())
-	}
-	if got := h.Quantile(1.0); got != 24*time.Hour {
-		t.Fatalf("overflow-bucket Quantile(1.0) = %v, want the observed max", got)
+	for _, over := range []time.Duration{24 * time.Hour, 100 * time.Hour} {
+		var h Histogram
+		if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 {
+			t.Fatal("empty histogram must read 0")
+		}
+		h.Record(-time.Second) // clamps to 0
+		if h.Count() != 1 || h.Sum() != 0 {
+			t.Fatalf("negative record: count=%d sum=%v, want 1 and 0", h.Count(), h.Sum())
+		}
+		h.Record(0)
+		h.Record(over) // beyond the last bucket; max keeps the honest value
+		if h.Count() != 3 {
+			t.Fatalf("count = %d, want 3", h.Count())
+		}
+		if h.Max() != over {
+			t.Fatalf("Max = %v, want %v", h.Max(), over)
+		}
+		if got := h.Quantile(1.0); got != over {
+			t.Fatalf("overflow-bucket Quantile(1.0) = %v, want the observed max %v", got, over)
+		}
+		if got := h.Quantile(0); got > time.Microsecond {
+			t.Fatalf("Quantile(0) = %v, want ≤1µs (the bucket floor)", got)
+		}
 	}
 }
 
@@ -82,6 +97,9 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	wantMax := time.Duration(workers*per-1) * time.Microsecond
 	if h.Max() != wantMax {
 		t.Fatalf("max = %v, want %v (CAS high-water lost an update)", h.Max(), wantMax)
+	}
+	if h.Quantile(0.5) <= 0 {
+		t.Fatalf("degenerate p50 after concurrent records: %+v", h.Snapshot())
 	}
 }
 

@@ -256,8 +256,14 @@ func TestFollowerConvergesFromLowGenerationPrimary(t *testing.T) {
 	if _, err := rep.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
-	// The primary publishes again; the follower must track 3 exactly.
+	// The primary publishes again; the follower must track 3 exactly. The
+	// publish marker is appended without waiting for the group fsync, and
+	// CatchUp converges to the primary's durable position, so make the
+	// marker durable first.
 	driveRun(t, lP, events, 10, 20, map[int]bool{20: true}, 0)
+	if err := lP.wlog().Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := rep.CatchUp(); err != nil {
 		t.Fatal(err)
 	}

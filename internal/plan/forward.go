@@ -427,8 +427,8 @@ func staticIndicesInto(dst []int, sp feature.Space, inst feature.Instance) []int
 }
 
 // scoreCandidate attaches one candidate to the prepared dynamic state — the
-// compiled core.forwardCandidate. hS, when non-nil, is injected in place of
-// computing the static view (serving cache hit). rowMemo reads the cross
+// compiled core.Model.ForwardCandidate. hS, when non-nil, is injected in
+// place of computing the static view (serving cache hit). rowMemo reads the cross
 // view's static-row projections from the plan's memo (Plan.crossRow) instead
 // of projecting the gathered rows against the live weights (ScoreFast only).
 // It returns the raw score and the freshly computed static-view vector (nil
@@ -482,7 +482,7 @@ func (e *Exec) scoreCandidate(sl *candSlot, inst feature.Instance, training bool
 		}
 		// Static row-blocks projected fresh (or read from the row memo);
 		// dynamic row-blocks copied from the shared phase — the same
-		// row-split core.forwardCandidate records via ConcatRows.
+		// row-split core.Model.ForwardCandidate records via ConcatRows.
 		if rowMemo {
 			for i, ix := range sl.staticIdx {
 				row := p.crossRow(ix)
@@ -547,41 +547,40 @@ func (e *Exec) Forward(insts []feature.Instance, training bool) []float64 {
 	return e.scores
 }
 
-// PrecomputeDynamic runs the compiled dynamic phase and snapshots it as a
-// core.DynState — interchangeable with the tape-built one: either engine can
-// consume either snapshot, bit for bit.
+// PrecomputeDynamic runs the compiled dynamic phase for hist and snapshots
+// it as a core.DynState that owns its matrices (cloned out of the Exec's
+// buffers), so it stays valid across later calls on any Exec of this Plan.
 func (e *Exec) PrecomputeDynamic(hist []int) *core.DynState {
 	e.fwdTraining = false
 	e.beginDynamic(hist, false)
-	parts := core.DynParts{
-		DynIdx:   append([]int(nil), e.dynIdx...),
-		PadCount: e.padCount,
-		LinD:     e.linD,
-	}
+	st := &core.DynState{PadCount: e.padCount, LinD: e.linD}
 	if e.hD != nil {
-		parts.HD = e.hD.Clone()
+		st.HD = e.hD.Clone()
 	}
 	if e.qD != nil {
-		parts.QD = e.qD.Clone()
-		parts.KD = e.kD.Clone()
-		parts.VD = e.vD.Clone()
+		st.QD = e.qD.Clone()
+		st.KD = e.kD.Clone()
+		st.VD = e.vD.Clone()
 	}
-	return core.DynStateFromParts(parts)
+	return st
 }
 
-// ScoreFast scores inst against a cached dynamic state, the compiled
-// core.Model.ScoreFast: same contract, same bit-exact scores, same static-view
-// vector caching (hS in, possibly-fresh clone out). Like st and hS, the cross
-// view's static-row projections are memoised on the Plan from the weights at
-// first touch, so the Plan's weights must stay frozen once it serves
-// ScoreFast.
+// ScoreFast scores inst against a cached dynamic state st, which must come
+// from PrecomputeDynamic for the same history inst carries (only the static
+// fields of inst are read). hS, when non-nil, must be a static-view vector
+// an earlier ScoreFast returned for the same static fields (user, target,
+// attrs); pass nil to compute it fresh. It returns the raw score of
+// Eq. (19) — bit-for-bit identical to core.Model.Score on the full instance
+// — and the static-view vector for the caller to cache (a clone; nil under
+// "Remove SV"). Like st and hS, the cross view's static-row projections are
+// memoised on the Plan from the weights at first touch, so the Plan's
+// weights must stay frozen once it serves ScoreFast.
 func (e *Exec) ScoreFast(st *core.DynState, inst feature.Instance, hS *tensor.Matrix) (float64, *tensor.Matrix) {
 	e.fwdTraining = false
-	parts := st.Parts()
-	e.padCount = parts.PadCount
-	e.linD = parts.LinD
-	e.hD = parts.HD
-	e.qD, e.kD, e.vD = parts.QD, parts.KD, parts.VD
+	e.padCount = st.PadCount
+	e.linD = st.LinD
+	e.hD = st.HD
+	e.qD, e.kD, e.vD = st.QD, st.KD, st.VD
 	e.ensureSlots(1)
 	score, hSOut := e.scoreCandidate(e.slots[0], inst, false, hS, true)
 	if hS == nil && hSOut != nil {

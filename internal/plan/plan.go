@@ -15,12 +15,12 @@
 //
 //   - Forward values are bit-identical to the tape path. The compiled forward
 //     calls the same tensor kernels (or loop-order-exact replicas) in the
-//     same order with the same association, so Score, PrecomputeDynamic and
-//     ScoreFast agree with core's tape implementations bit for bit — a
-//     compiled serving generation can consume a tape-built DynState and vice
-//     versa. Deliberately NOT done: multi-accumulator dot/matmul unrolling,
-//     which would reassociate IEEE sums and break this contract. The win is
-//     eliminated dispatch, closures and allocation, not kernel reassociation.
+//     same order with the same association, so Score, Forward and the
+//     PrecomputeDynamic/ScoreFast serving pair agree with core.Model.Score on
+//     a tape bit for bit. Deliberately NOT done: multi-accumulator
+//     dot/matmul unrolling, which would reassociate IEEE sums and break this
+//     contract. The win is eliminated dispatch, closures and allocation, not
+//     kernel reassociation.
 //   - The hand-derived backward computes the same mathematical gradients as
 //     the tape's reverse pass, exact up to IEEE reassociation (the shared
 //     dynamic subgraph accumulates upstream gradients in candidate order

@@ -153,46 +153,25 @@ func TestCompiledForwardSharedCandidates(t *testing.T) {
 	}
 }
 
-// TestCompiledDynStateInterop pins snapshot compatibility in both directions:
-// a compiled-built DynState served by the tape path, a tape-built DynState
-// served by the compiled path, and cached static-view vectors crossing the
-// engine boundary — all bit-identical to the monolithic score.
-func TestCompiledDynStateInterop(t *testing.T) {
-	for name, cfg := range parityConfigs() {
-		m, err := core.New(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		e := compileFor(t, m).NewExec()
-		for _, hist := range histVariants() {
-			inst := testInstance()
-			inst.Hist = hist
-			want := scoreRef(m, inst)
-
-			// Compiled snapshot → tape scorer.
-			cdyn := e.PrecomputeDynamic(hist)
-			tape := ag.NewTape()
-			got, hS := m.ScoreFast(tape, cdyn, inst, nil)
-			if got != want {
-				t.Errorf("%s hist %v: tape-over-compiled-dyn=%v, want %v", name, hist, got, want)
-			}
-
-			// Tape snapshot → compiled scorer, warm-started with the tape's hS.
-			tape.Reset()
-			tdyn := m.PrecomputeDynamic(tape, hist)
-			if got, _ := e.ScoreFast(tdyn, inst, nil); got != want {
-				t.Errorf("%s hist %v: compiled-over-tape-dyn=%v, want %v", name, hist, got, want)
-			}
-			if got, _ := e.ScoreFast(tdyn, inst, hS); got != want {
-				t.Errorf("%s hist %v: compiled warm hS=%v, want %v", name, hist, got, want)
-			}
-
-			// Compiled hS consumed by the tape scorer.
-			_, chS := e.ScoreFast(cdyn, inst, nil)
-			tape.Reset()
-			if got, _ := m.ScoreFast(tape, cdyn, inst, chS); got != want {
-				t.Errorf("%s hist %v: tape warm compiled-hS=%v, want %v", name, hist, got, want)
-			}
+// TestPrecomputeDynamicPadCount pins the pad count a dynamic state records
+// (the padding-mask selector the cross view reads in ScoreFast).
+func TestPrecomputeDynamicPadCount(t *testing.T) {
+	m, err := core.New(testConfig()) // MaxSeqLen 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := compileFor(t, m).NewExec()
+	for _, tc := range []struct {
+		hist []int
+		want int
+	}{
+		{nil, 4},
+		{[]int{1}, 3},
+		{[]int{1, 2, 3, 4}, 0},
+		{[]int{1, 2, 3, 4, 5, 6}, 0},
+	} {
+		if got := e.PrecomputeDynamic(tc.hist).PadCount; got != tc.want {
+			t.Errorf("hist %v: PadCount=%d, want %d", tc.hist, got, tc.want)
 		}
 	}
 }
@@ -496,17 +475,10 @@ func TestExecPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// tapeScoreFast is the cached-path oracle: core.Model.ScoreFast over a
-// tape-built DynState, each on a fresh tape.
-func tapeScoreFast(m *core.Model, inst feature.Instance) float64 {
-	dyn := m.PrecomputeDynamic(ag.NewTape(), inst.Hist)
-	s, _ := m.ScoreFast(ag.NewTape(), dyn, inst, nil)
-	return s
-}
-
-// rowMemoInstances spans static rows: every user, targets on both sides of
-// the catalog and, when the space has them, every user/target attribute
-// value, against a history with exactly pad padded positions.
+// rowMemoInstances spans static rows: every user, every target (one top-K
+// request's worth of candidates for user 0) and, when the space has them,
+// every user/target attribute value, against a history with exactly pad
+// padded positions.
 func rowMemoInstances(sp feature.Space, maxSeqLen, pad int) []feature.Instance {
 	hist := make([]int, maxSeqLen-pad)
 	for i := range hist {
@@ -526,14 +498,20 @@ func rowMemoInstances(sp feature.Space, maxSeqLen, pad int) []feature.Instance {
 		}
 		insts = append(insts, inst)
 	}
+	for o := 0; o < sp.NumObjects; o++ {
+		inst := insts[0]
+		inst.Target = o
+		insts = append(insts, inst)
+	}
 	return insts
 }
 
-// TestScoreFastRowMemoMatchesTape pins ScoreFast's cross-view row memo: the
-// compiled ScoreFast equals the tape's ScoreFast bit for bit on the call that
-// fills a row and on the calls that read it back, with and without a cached
-// static view, for every ablation (the memo is unused under noCross), with
-// attribute rows, and at every pad count 0..n.
+// TestScoreFastRowMemoMatchesTape pins the serving pair and its cross-view
+// row memo: ScoreFast over one PrecomputeDynamic state equals
+// core.Model.Score on a fresh tape bit for bit, on the call that fills a row
+// and on the calls that read it back, with and without a cached static view,
+// for every ablation (the memo is unused under noCross), with attribute
+// rows, and at every pad count 0..n.
 func TestScoreFastRowMemoMatchesTape(t *testing.T) {
 	for name, base := range parityConfigs() {
 		for _, attrs := range []bool{false, true} {
@@ -552,7 +530,7 @@ func TestScoreFastRowMemoMatchesTape(t *testing.T) {
 				dyn := e.PrecomputeDynamic(insts[0].Hist)
 				for pass := 0; pass < 2; pass++ { // pass 0 fills rows, pass 1 reads them
 					for i, inst := range insts {
-						want := tapeScoreFast(m, inst)
+						want := scoreRef(m, inst)
 						got, hS := e.ScoreFast(dyn, inst, nil)
 						if got != want {
 							t.Errorf("%s attrs=%v pad %d pass %d inst %d: compiled=%v, tape=%v", name, attrs, pad, pass, i, got, want)
@@ -582,7 +560,7 @@ func TestRowMemoConcurrentFill(t *testing.T) {
 	insts := rowMemoInstances(cfg.Space, cfg.MaxSeqLen, 1)
 	want := make([]float64, len(insts))
 	for i, inst := range insts {
-		want[i] = tapeScoreFast(m, inst)
+		want[i] = scoreRef(m, inst)
 	}
 	const workers = 4
 	for round := 0; round < 8; round++ {

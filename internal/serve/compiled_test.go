@@ -1,82 +1,89 @@
 package serve
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
-	"seqfm/internal/ag"
 	"seqfm/internal/core"
 	"seqfm/internal/feature"
 )
 
-// TestCompiledGenerationMatchesTape pins the serving engines against each
-// other at the public API: a compiled engine (the default) and a forced-tape
-// engine over the same weights return bit-identical batch scores and top-K
-// lists, and report their engine in Stats.
+// TestCompiledGenerationMatchesTape pins the compiled serving path against
+// the oracle at the public API: cold and warm ScoreBatch, and a TopK list,
+// equal core.Model.Score on a fresh tape bit for bit, and Stats reports the
+// compiled engine.
 func TestCompiledGenerationMatchesTape(t *testing.T) {
 	m := testModel(t)
-	comp := NewEngine(m, Config{Workers: 3})
-	defer comp.Close()
-	tape := NewEngine(m, Config{Workers: 3, Engine: EngineTape})
-	defer tape.Close()
-
-	if st := comp.Stats(); st.Engine != EngineCompiled {
-		t.Fatalf("default engine serves %q, want compiled", st.Engine)
-	}
-	if st := tape.Stats(); st.Engine != EngineTape {
-		t.Fatalf("forced tape engine serves %q", st.Engine)
+	e := NewEngine(m, Config{Workers: 3})
+	defer e.Close()
+	if st := e.Stats(); st.Engine != EngineCompiled {
+		t.Fatalf("SeqFM engine serves %q, want compiled", st.Engine)
 	}
 
 	insts := testInstances(64, 3)
-	// Two passes: the second is served from warm dynamic/static caches on
-	// both engines.
+	// Two passes: the second is served from warm dynamic/static caches.
 	for pass := 0; pass < 2; pass++ {
-		cs := comp.ScoreBatch(insts)
-		ts := tape.ScoreBatch(insts)
+		got := e.ScoreBatch(insts)
 		for i := range insts {
-			if cs[i] != ts[i] {
-				t.Fatalf("pass %d inst %d: compiled %v != tape %v (not bit-identical)", pass, i, cs[i], ts[i])
-			}
-			if want := refScore(m, insts[i]); cs[i] != want {
-				t.Fatalf("pass %d inst %d: compiled %v != fresh-tape ref %v", pass, i, cs[i], want)
+			if want := refScore(m, insts[i]); got[i] != want {
+				t.Fatalf("pass %d inst %d: compiled %v != fresh-tape ref %v (not bit-identical)", pass, i, got[i], want)
 			}
 		}
 	}
 
 	base := feature.Instance{User: 3, Hist: []int{4, 9, 2}, UserAttr: feature.Pad, TargetAttr: feature.Pad}
 	req := TopKRequest{Base: base, Candidates: []int{0, 5, 9, 14, 21, 28}, K: 4}
-	ck := comp.TopK(req)
-	tk := tape.TopK(req)
-	for i := range ck {
-		if ck[i] != tk[i] {
-			t.Fatalf("top-K item %d: compiled %+v != tape %+v", i, ck[i], tk[i])
+	want := make([]Item, len(req.Candidates))
+	for i, o := range req.Candidates {
+		inst := base
+		inst.Target = o
+		want[i] = Item{Object: o, Score: refScore(m, inst)}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Score != want[j].Score {
+			return want[i].Score > want[j].Score
+		}
+		return want[i].Object < want[j].Object
+	})
+	want = want[:req.K]
+	items := e.TopK(req)
+	if len(items) != len(want) {
+		t.Fatalf("top-K returned %d items, want %d", len(items), len(want))
+	}
+	for i := range want {
+		if items[i] != want[i] {
+			t.Fatalf("top-K item %d: compiled %+v != fresh-tape ref %+v", i, items[i], want[i])
 		}
 	}
 }
 
-// scorerOnly hides the model's FastScorer/Spec surface: the shape of a
-// baseline model.
-type scorerOnly struct{ m *core.Model }
-
-func (s scorerOnly) Score(t *ag.Tape, inst feature.Instance) *ag.Node {
-	return s.m.Score(t, inst)
-}
-
-// TestCompiledEngineFallsBackForPlainScorers pins the fallback: a model with
-// no compilable spec serves through the tape even when compilation is
-// requested, with identical results.
+// TestCompiledEngineFallsBackForPlainScorers pins that the serving path is
+// picked per generation from the model: swapping a spec-less scorer over a
+// compiled generation serves it through the tape, swapping the SeqFM model
+// back returns to the plan, and both score identically to the oracle.
 func TestCompiledEngineFallsBackForPlainScorers(t *testing.T) {
 	m := testModel(t)
-	e := NewEngine(scorerOnly{m}, Config{Workers: 2, Engine: EngineCompiled})
+	e := NewEngine(m, Config{Workers: 2})
 	defer e.Close()
-	if st := e.Stats(); st.Engine != EngineTape {
-		t.Fatalf("spec-less model reports engine %q, want tape fallback", st.Engine)
-	}
 	insts := testInstances(16, 5)
-	for i, s := range e.ScoreBatch(insts) {
-		if want := refScore(m, insts[i]); s != want {
-			t.Fatalf("inst %d: fallback score %v != ref %v", i, s, want)
+	for _, step := range []struct {
+		model  Scorer
+		engine string
+	}{
+		{m, EngineCompiled},
+		{plainScorer{m}, EngineTape},
+		{m, EngineCompiled},
+	} {
+		e.Swap(step.model)
+		if st := e.Stats(); st.Engine != step.engine {
+			t.Fatalf("%T generation reports engine %q, want %q", step.model, st.Engine, step.engine)
+		}
+		for i, s := range e.ScoreBatch(insts) {
+			if want := refScore(m, insts[i]); s != want {
+				t.Fatalf("%s generation inst %d: score %v != ref %v", step.engine, i, s, want)
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@ package serve
 // answers "recommend from the whole catalog" by retrieving N ≫ K
 // candidates from an ANN index over the generation's item embeddings,
 // dropping already-seen objects, exact re-ranking the survivors with the
-// cached ScoreFast path, and returning the top K.
+// cached compiled scoring path, and returning the top K.
 //
 // Generation discipline: the index is part of the generation snapshot.
 // newGeneration builds it from the very model the generation serves and
@@ -31,7 +31,7 @@ import (
 // engine to build catalog indexes and derive queries: read-only access to
 // the static item-embedding space. *core.Model implements it.
 type Embedder interface {
-	FastScorer
+	Scorer
 	// EmbedDim is the embedding width d.
 	EmbedDim() int
 	// ObjectEmbedding copies object o's static embedding row into dst

@@ -1,26 +1,23 @@
 // Package serve is the batched inference engine: the serving-side
-// counterpart of internal/train. Where training runs one tape per example
-// and throws it away, the engine keeps a pool of pre-sized tapes that are
-// Reset between forward passes, shares the candidate-independent dynamic
-// view of SeqFM across every candidate scored against the same history, and
-// memoises static-view vectors per (user, candidate, attrs) so repeated
-// top-K traffic only pays for the cross view — the deployment shape of
-// sequence-aware recommenders, where a model scores a few hundred candidate
-// objects per request under a latency budget.
+// counterpart of internal/train. A SeqFM generation is compiled into an
+// execution plan (internal/plan) when it is published; the engine shares the
+// candidate-independent dynamic view of SeqFM across every candidate scored
+// against the same history, and memoises static-view vectors per (user,
+// candidate, attrs) so repeated top-K traffic only pays for the cross view —
+// the deployment shape of sequence-aware recommenders, where a model scores
+// a few hundred candidate objects per request under a latency budget.
 //
-// The engine is model-agnostic: any Scorer (SeqFM or the baseline zoo) gets
-// tape reuse and the worker pool; a FastScorer (SeqFM) additionally gets the
-// dynamic-state and static-view caches. Since the candidate-sharing
-// refactor, serving and training consume the same two-phase forward
-// (core.ForwardDynamic/ForwardCandidate): a DynState is a value snapshot of
-// the very subgraph the trainers differentiate through, so there is no
-// serving-only scoring logic to drift. All scoring paths are bit-for-bit
-// identical to a per-instance Score on a fresh tape — the caches only
-// memoise values the monolithic pass would recompute, never approximate
-// them.
+// The engine is model-agnostic: a model plan.For compiles (SeqFM) gets the
+// compiled path with its dynamic-state and static-view caches; any other
+// Scorer (the baseline zoo) is served by its own Score on pooled, pre-sized
+// autodiff tapes. Both share the worker pool, and every score is bit-for-bit
+// identical to a per-instance Score on a fresh tape — the tape forward is
+// the parity oracle, and the caches only memoise values the monolithic pass
+// would recompute, never approximate them.
 //
 // Concurrency and hot-swap model: an Engine is safe for concurrent use.
-// Batches fan out over train.ParallelEach workers, each with its own tape.
+// Batches fan out over train.ParallelEach workers, each with its own plan
+// Exec (or tape, for baselines).
 // The served weights live in an immutable generation snapshot — the model
 // reference plus that generation's private memo caches — published through
 // one atomic pointer (RCU style). Every request loads the pointer once and
@@ -51,17 +48,16 @@ import (
 	"seqfm/internal/train"
 )
 
-// Scoring engines a generation can serve with. The compiled engine lowers the
-// model into a preallocated execution plan (internal/plan) at publish time and
-// scores without building tapes; the tape engine interprets the autodiff tape.
-// Both produce bit-identical scores (pinned by internal/plan's parity tests
-// and TestCompiledGenerationMatchesTape), so the choice is purely a
-// performance one.
+// Stats.Engine values: how the current generation scores. The engine picks
+// the path from the model, never from configuration, and both agree with
+// Score on a fresh tape bit for bit (pinned by internal/plan's parity tests
+// and TestCompiledGenerationMatchesTape).
 const (
-	// EngineTape forces tape interpretation for every model.
+	// EngineTape: the model has no compilable spec (the baselines) and is
+	// served by its own Score on pooled tapes, without the memo caches.
 	EngineTape = "tape"
-	// EngineCompiled requests plan compilation; models without a compilable
-	// spec (the baselines) transparently fall back to the tape.
+	// EngineCompiled: plan.For compiled the model (SeqFM) into an execution
+	// plan at publish time; scoring builds no tapes.
 	EngineCompiled = "compiled"
 )
 
@@ -70,15 +66,6 @@ const (
 // repository (SeqFM and the eleven baselines) satisfies it.
 type Scorer interface {
 	Score(t *ag.Tape, inst feature.Instance) *ag.Node
-}
-
-// FastScorer is the cached serving contract implemented by *core.Model: the
-// forward pass split into a candidate-independent dynamic state and a
-// candidate-dependent remainder, with an externally cacheable static view.
-type FastScorer interface {
-	Scorer
-	PrecomputeDynamic(t *ag.Tape, hist []int) *core.DynState
-	ScoreFast(t *ag.Tape, dyn *core.DynState, inst feature.Instance, hS *tensor.Matrix) (float64, *tensor.Matrix)
 }
 
 // Defaults for Config's zero fields.
@@ -97,11 +84,12 @@ type Config struct {
 	// Workers is the number of scoring goroutines a batch fans out over;
 	// 0 means GOMAXPROCS.
 	Workers int
-	// StaticCacheSize bounds the static-view memo (entries keyed by user,
-	// candidate and attrs). 0 means DefaultStaticCacheSize; negative
-	// disables the cache. Neither size bounds the compiled plan's
-	// cross-view row memo (at most 3× the static embedding table, filled
-	// only for rows traffic touches), which dies with its generation.
+	// StaticCacheSize bounds a compiled generation's static-view memo
+	// (entries keyed by user, candidate and attrs). 0 means
+	// DefaultStaticCacheSize; negative disables the cache. Neither size
+	// bounds the compiled plan's cross-view row memo (at most 3× the static
+	// embedding table, filled only for rows traffic touches), which dies
+	// with its generation.
 	StaticCacheSize int
 	// DynCacheSize bounds the dynamic-state memo (entries keyed by
 	// history). 0 means DefaultDynCacheSize; negative disables the cache.
@@ -123,11 +111,6 @@ type Config struct {
 	// the same generation) and Recommend becomes available. See
 	// recommend.go.
 	Index *IndexConfig
-	// Engine selects the scoring engine: "" or EngineCompiled compile the
-	// served model into an execution plan when it exposes one (core.Model
-	// does; baselines fall back to the tape), EngineTape forces tape
-	// interpretation. Scores are bit-identical either way.
-	Engine string
 }
 
 func (c Config) withDefaults() Config {
@@ -163,11 +146,11 @@ type staticKey struct {
 type generation struct {
 	id    uint64
 	model Scorer
-	fast  FastScorer // nil when model is not a FastScorer
-	// plan is the generation's compiled execution plan; nil when the engine
-	// is configured for tape scoring or the model has no compilable spec.
-	// Compiled at publish time, so every request against this generation
-	// scores through preallocated plan buffers instead of tape nodes.
+	// plan is the generation's compiled execution plan; nil when the model
+	// has no compilable spec (the baselines), which then scores through
+	// Score on pooled tapes. Compiled at publish time, so every request
+	// against this generation scores through preallocated plan buffers
+	// instead of tape nodes.
 	plan *plan.Plan
 	// born is the publish wall-clock (UnixNano), read by the experiment
 	// tier's swap-lag metric: how long new weights sit published before the
@@ -204,8 +187,8 @@ type Stats struct {
 	// Generation identifies the currently serving snapshot; it increments
 	// on every Swap (and InvalidateCaches).
 	Generation uint64
-	// Engine is the scoring engine of the current generation: "compiled"
-	// when it serves through an execution plan, "tape" otherwise.
+	// Engine is how the current generation scores: EngineCompiled when its
+	// model compiled into an execution plan, EngineTape otherwise.
 	Engine string
 	// Swaps counts published generations since the engine was built — every
 	// Swap and every InvalidateCaches (which republishes the same model
@@ -235,7 +218,8 @@ type Stats struct {
 }
 
 // Engine scores instances against an atomically swappable model snapshot
-// with pooled tapes, cached partial forwards and data-parallel fan-out.
+// with a compiled plan (pooled tapes for baselines), cached partial forwards
+// and data-parallel fan-out.
 // Create one with NewEngine and share it between goroutines; Swap publishes
 // new weights without blocking readers; Close releases the accumulator
 // timer.
@@ -305,9 +289,9 @@ type pendingScore struct {
 	ch   chan float64
 }
 
-// NewEngine builds an engine serving m as generation 1. If m implements
-// FastScorer (SeqFM does), the cached dynamic/static path is used; otherwise
-// the engine still provides tape reuse and parallel fan-out.
+// NewEngine builds an engine serving m as generation 1. If plan.For compiles
+// m (SeqFM), the cached compiled path is used; otherwise the engine still
+// provides tape reuse and parallel fan-out.
 func NewEngine(m Scorer, cfg Config) *Engine {
 	e := &Engine{cfg: cfg.withDefaults()}
 	e.cur.Store(e.newGeneration(m))
@@ -317,13 +301,8 @@ func NewEngine(m Scorer, cfg Config) *Engine {
 // newGeneration wraps m in a fresh snapshot with empty caches.
 func (e *Engine) newGeneration(m Scorer) *generation {
 	g := &generation{id: e.gens.Add(1), model: m, born: time.Now().UnixNano()}
-	if f, ok := m.(FastScorer); ok {
-		g.fast = f
-	}
-	if g.fast != nil && e.cfg.Engine != EngineTape {
-		if pl, err := plan.For(m); err == nil {
-			g.plan = pl
-		}
+	if pl, err := plan.For(m); err == nil {
+		g.plan = pl
 	}
 	g.statics = newCache[staticKey, *tensor.Matrix](e.cfg.CachePolicy, e.cfg.StaticCacheSize)
 	g.dyns = newCache[string, *core.DynState](e.cfg.CachePolicy, e.cfg.DynCacheSize)
@@ -352,17 +331,7 @@ func (e *Engine) retireSketch(old *generation) {
 // swap see m with fresh caches. Concurrent publishers are serialised so the
 // highest generation id always wins. m's weights must be immutable from here
 // on — publish a clone if training continues (core.Model.Clone).
-func (e *Engine) Swap(m Scorer) uint64 {
-	start := time.Now()
-	e.swapMu.Lock()
-	g := e.newGeneration(m)
-	e.retireSketch(e.cur.Load())
-	e.cur.Store(g)
-	e.swapMu.Unlock()
-	e.swapHist.Record(time.Since(start))
-	e.swaps.Add(1)
-	return g.id
-}
+func (e *Engine) Swap(m Scorer) uint64 { return e.publish(m, 0) }
 
 // SwapAs is Swap under an externally assigned generation id — the
 // replication path: a follower replaying its primary's publish markers
@@ -372,14 +341,25 @@ func (e *Engine) Swap(m Scorer) uint64 {
 // which is what the RCU snapshot invariants and the cache stamps rely on);
 // otherwise the swap falls back to the next sequential id. Returns the id
 // actually installed.
-func (e *Engine) SwapAs(m Scorer, id uint64) uint64 {
+func (e *Engine) SwapAs(m Scorer, id uint64) uint64 { return e.publish(m, id) }
+
+// publish is every generation change: Swap, SwapAs and InvalidateCaches. It
+// builds a fresh snapshot over m (nil republishes the current model, read
+// under the publisher lock so a racing Swap's weights are never reverted),
+// retires the outgoing generation's score sketch, installs the snapshot and
+// times the whole publish. id > 0 requests that generation id (see SwapAs).
+func (e *Engine) publish(m Scorer, id uint64) uint64 {
 	start := time.Now()
 	e.swapMu.Lock()
+	old := e.cur.Load()
+	if m == nil {
+		m = old.model
+	}
 	if cur := e.gens.Load(); id > cur+1 {
 		e.gens.Store(id - 1) // newGeneration's Add(1) lands exactly on id
 	}
 	g := e.newGeneration(m)
-	e.retireSketch(e.cur.Load())
+	e.retireSketch(old)
 	e.cur.Store(g)
 	e.swapMu.Unlock()
 	e.swapHist.Record(time.Since(start))
@@ -495,7 +475,8 @@ func idOf(hist []int) histID {
 
 // dynStates resolves one DynState per instance, deduplicating equal
 // histories within the batch (first by slice identity, then by content),
-// probing the generation's cache, and computing the misses in parallel.
+// probing the generation's cache, and computing the misses in parallel on
+// the generation's plan.
 func (e *Engine) dynStates(g *generation, insts []feature.Instance) []*core.DynState {
 	type slot struct {
 		key   string
@@ -532,16 +513,9 @@ func (e *Engine) dynStates(g *generation, insts []feature.Instance) []*core.DynS
 			e.dynMisses.Add(1)
 		}
 	}
-	if g.plan != nil {
-		e.eachWithExec(g.plan, len(missing), func(ex *plan.Exec, i int) {
-			missing[i].state = ex.PrecomputeDynamic(missing[i].hist)
-		})
-	} else {
-		e.eachWithTape(len(missing), func(t *ag.Tape, i int) {
-			t.Reset()
-			missing[i].state = g.fast.PrecomputeDynamic(t, missing[i].hist)
-		})
-	}
+	e.eachWithExec(g.plan, len(missing), func(ex *plan.Exec, i int) {
+		missing[i].state = ex.PrecomputeDynamic(missing[i].hist)
+	})
 	for _, s := range missing {
 		g.dyns.put(s.key, s.state)
 	}
@@ -552,26 +526,9 @@ func (e *Engine) dynStates(g *generation, insts []feature.Instance) []*core.DynS
 	return out
 }
 
-// scoreFastCached runs the candidate-dependent part of one forward pass,
+// scoreCached runs the candidate-dependent part of one forward pass on ex,
 // consulting and feeding the generation's static-view cache.
-func (e *Engine) scoreFastCached(g *generation, t *ag.Tape, dyn *core.DynState, inst feature.Instance) float64 {
-	key := staticKey{inst.User, inst.Target, inst.UserAttr, inst.TargetAttr}
-	hS, ok := g.statics.get(key)
-	if ok {
-		e.staticHits.Add(1)
-	} else {
-		e.staticMisses.Add(1)
-	}
-	score, hSout := g.fast.ScoreFast(t, dyn, inst, hS)
-	if !ok && hSout != nil {
-		g.statics.put(key, hSout)
-	}
-	return score
-}
-
-// scoreFastCachedExec is scoreFastCached on the compiled engine: same cache
-// discipline, same bit-exact scores, no tape.
-func (e *Engine) scoreFastCachedExec(g *generation, ex *plan.Exec, dyn *core.DynState, inst feature.Instance) float64 {
+func (e *Engine) scoreCached(g *generation, ex *plan.Exec, dyn *core.DynState, inst feature.Instance) float64 {
 	key := staticKey{inst.User, inst.Target, inst.UserAttr, inst.TargetAttr}
 	hS, ok := g.statics.get(key)
 	if ok {
@@ -593,7 +550,7 @@ func (e *Engine) scoreBatchOn(g *generation, insts []feature.Instance) []float64
 		return out
 	}
 	e.instances.Add(int64(len(insts)))
-	if g.fast == nil {
+	if g.plan == nil {
 		e.eachWithTape(len(insts), func(t *ag.Tape, i int) {
 			t.Reset()
 			out[i] = g.model.Score(t, insts[i]).Value.ScalarValue()
@@ -601,15 +558,8 @@ func (e *Engine) scoreBatchOn(g *generation, insts []feature.Instance) []float64
 		return out
 	}
 	dyns := e.dynStates(g, insts)
-	if g.plan != nil {
-		e.eachWithExec(g.plan, len(insts), func(ex *plan.Exec, i int) {
-			out[i] = e.scoreFastCachedExec(g, ex, dyns[i], insts[i])
-		})
-		return out
-	}
-	e.eachWithTape(len(insts), func(t *ag.Tape, i int) {
-		t.Reset()
-		out[i] = e.scoreFastCached(g, t, dyns[i], insts[i])
+	e.eachWithExec(g.plan, len(insts), func(ex *plan.Exec, i int) {
+		out[i] = e.scoreCached(g, ex, dyns[i], insts[i])
 	})
 	return out
 }
@@ -886,15 +836,11 @@ func (e *Engine) Stats() Stats {
 // InvalidateCaches drops every memoised partial forward by publishing a new
 // generation over the same model. The model is re-read under the publisher
 // lock, so a concurrent Swap's freshly published weights are never reverted.
-// Call it after mutating the served model's weights in place; prefer Swap
-// with a clone, which keeps even in-flight requests consistent.
-func (e *Engine) InvalidateCaches() {
-	e.swapMu.Lock()
-	g := e.newGeneration(e.cur.Load().model)
-	e.cur.Store(g)
-	e.swapMu.Unlock()
-	e.swaps.Add(1)
-}
+// Like Swap, it retires the outgoing generation's score sketch and records
+// the publish in SwapLatency. Call it after mutating the served model's
+// weights in place; prefer Swap with a clone, which keeps even in-flight
+// requests consistent.
+func (e *Engine) InvalidateCaches() { e.publish(nil, 0) }
 
 // Close flushes any accumulated Score requests and stops the deadline
 // timer. The engine remains usable afterwards — subsequent Score calls

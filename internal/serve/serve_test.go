@@ -72,27 +72,36 @@ func TestScoreBatchMatchesScoreBitForBit(t *testing.T) {
 	}
 }
 
-// plainScorer hides core.Model's FastScorer methods so the engine exercises
-// its generic (cache-less) path — the one every baseline model takes.
+// plainScorer hides core.Model's Spec and embedding methods: the shape of a
+// baseline model, which plan.For cannot compile.
 type plainScorer struct{ m *core.Model }
 
 func (p plainScorer) Score(t *ag.Tape, inst feature.Instance) *ag.Node {
 	return p.m.Score(t, inst)
 }
 
+// TestScoreBatchGenericScorerPath pins the fallback every baseline takes: a
+// model with no compilable spec serves through Score on pooled tapes,
+// reports the tape engine, never touches the memo caches, and scores
+// bit-identically to the fresh-tape reference.
 func TestScoreBatchGenericScorerPath(t *testing.T) {
 	m := testModel(t)
 	e := NewEngine(plainScorer{m}, Config{Workers: 2})
 	defer e.Close()
+	if st := e.Stats(); st.Engine != EngineTape {
+		t.Fatalf("spec-less model reports engine %q, want tape", st.Engine)
+	}
 	insts := testInstances(16, 2)
-	got := e.ScoreBatch(insts)
-	for i, inst := range insts {
-		if want := refScore(m, inst); got[i] != want {
-			t.Fatalf("inst %d: generic ScoreBatch=%v, Score=%v", i, got[i], want)
+	for pass := 0; pass < 2; pass++ { // the second pass reuses pooled tapes
+		got := e.ScoreBatch(insts)
+		for i, inst := range insts {
+			if want := refScore(m, inst); got[i] != want {
+				t.Fatalf("pass %d inst %d: generic ScoreBatch=%v, Score=%v", pass, i, got[i], want)
+			}
 		}
 	}
 	if s := e.Stats(); s.DynMisses != 0 || s.StaticMisses != 0 {
-		t.Errorf("generic path touched the fast caches: %+v", s)
+		t.Errorf("generic path touched the memo caches: %+v", s)
 	}
 }
 
@@ -296,6 +305,36 @@ func TestInvalidateCachesAfterWeightUpdate(t *testing.T) {
 		if want := refScore(m, inst); got[i] != want {
 			t.Fatalf("inst %d after invalidate: %v != %v", i, got[i], want)
 		}
+	}
+}
+
+// TestInvalidateCachesPublishesLikeSwap pins that an in-place republish is a
+// publish like any other: the drift monitor compares against the generation
+// it replaced, and the swap-latency histogram counts it.
+func TestInvalidateCachesPublishesLikeSwap(t *testing.T) {
+	m := testModel(t)
+	e := NewEngine(m, Config{})
+	defer e.Close()
+	req := TopKRequest{
+		Base:       feature.Instance{User: 2, Hist: []int{3, 7}, UserAttr: feature.Pad, TargetAttr: feature.Pad},
+		Candidates: []int{1, 4, 9, 16, 25},
+		K:          3,
+	}
+	e.TopK(req)
+	if e.Swap(m.Clone()) == 0 {
+		t.Fatal("Swap returned generation 0")
+	}
+	e.TopK(req)
+	before := e.Generation()
+	e.InvalidateCaches()
+	e.TopK(req)
+
+	d := e.ScoreDrift()
+	if !d.Known || d.PrevGen != before {
+		t.Errorf("after InvalidateCaches: drift %+v, want known against generation %d", d, before)
+	}
+	if got, want := e.SwapLatency().Count(), e.Stats().Swaps; got != want || want != 2 {
+		t.Errorf("SwapLatency().Count()=%d, Stats().Swaps=%d, want both 2", got, want)
 	}
 }
 

@@ -1,15 +1,8 @@
 package train
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
-	"time"
-
-	"seqfm/internal/ag"
 	"seqfm/internal/core"
 	"seqfm/internal/data"
-	"seqfm/internal/optim"
 )
 
 // BenchWorkload builds the standard training-benchmark workload shared by
@@ -39,98 +32,4 @@ func BenchWorkload() (*core.Model, *data.Split, error) {
 func BenchConfig(negatives, workers int) Config {
 	return Config{Epochs: 1, BatchSize: 64, LR: 1e-3,
 		Negatives: negatives, Workers: workers, Seed: 17}
-}
-
-// LegacyRanking is the frozen pre-refactor BPR training engine, kept as the
-// benchmark reference the candidate-sharing sharded engine is measured
-// against (bench_test.go's BenchmarkTrain* suite and seqfm-bench -mode
-// train): one fresh training tape per instance, one full monolithic Score
-// per candidate (1+N dynamic subgraphs per instance), and every instance's
-// gradients flushed into the shared parameters under a single global mutex.
-// It trains correctly — losses equal the new engine's up to gradient
-// reassociation — but do not use it outside benchmarks; Ranking is the
-// production path.
-func LegacyRanking(m Model, split *data.Split, cfg Config) (*History, error) {
-	cfg = cfg.withDefaults()
-	if len(split.Train) == 0 {
-		return nil, fmt.Errorf("train: empty training split")
-	}
-	opt := optim.NewAdam(m.Params(), cfg.LR)
-	shuffleRng := rand.New(rand.NewSource(cfg.Seed))
-
-	type legacyWorker struct {
-		rng     *rand.Rand
-		sampler *data.NegativeSampler
-		ds      *data.Dataset
-	}
-	workers := make([]*legacyWorker, cfg.Workers)
-	for i := range workers {
-		workers[i] = &legacyWorker{
-			rng:     rand.New(rand.NewSource(cfg.Seed + int64(1000*(i+1)))),
-			sampler: data.NewNegativeSampler(split.Dataset(), rand.New(rand.NewSource(cfg.Seed+int64(7000*(i+1))))),
-			ds:      split.Dataset(),
-		}
-	}
-
-	order := make([]int, len(split.Train))
-	for i := range order {
-		order[i] = i
-	}
-
-	hist := &History{}
-	start := time.Now()
-	var mu sync.Mutex
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		epochStart := time.Now()
-		shuffleRng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		epochLoss := 0.0
-		for b := 0; b < len(order); b += cfg.BatchSize {
-			end := b + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			batch := order[b:end]
-			invBatch := 1 / float64(len(batch))
-
-			var wg sync.WaitGroup
-			losses := make([]float64, cfg.Workers)
-			for w := 0; w < cfg.Workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					wk := workers[w]
-					for s := w; s < len(batch); s += cfg.Workers {
-						inst := split.Train[batch[s]]
-						t := ag.NewTrainingTape(wk.rng)
-						pos := m.Score(t, inst)
-						terms := make([]*ag.Node, 0, cfg.Negatives)
-						for k := 0; k < cfg.Negatives; k++ {
-							negInst := wk.ds.WithTargetObject(inst, wk.sampler.Sample(inst.User))
-							terms = append(terms, t.Softplus(t.Sub(m.Score(t, negInst), pos)))
-						}
-						l := t.Scale(invBatch, t.MeanScalars(terms))
-						t.Backward(l)
-						t.FlushGrads(&mu)
-						losses[w] += l.Value.ScalarValue()
-					}
-				}(w)
-			}
-			wg.Wait()
-			for _, l := range losses {
-				epochLoss += l
-			}
-			if cfg.GradClip > 0 {
-				ag.ClipGrads(m.Params(), cfg.GradClip)
-			}
-			opt.Step()
-		}
-		nBatches := (len(order) + cfg.BatchSize - 1) / cfg.BatchSize
-		hist.Epochs = append(hist.Epochs, EpochStat{
-			Epoch:    epoch + 1,
-			Loss:     epochLoss / float64(nBatches),
-			Duration: time.Since(epochStart),
-		})
-	}
-	hist.Total = time.Since(start)
-	return hist, nil
 }

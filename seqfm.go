@@ -23,7 +23,7 @@
 //	fmt.Println(result.HR[10])
 //
 // For serving, NewEngine wraps a trained model in a batched inference
-// engine (pooled tapes, cached partial forwards, top-K scoring); the
+// engine (compiled plan, cached partial forwards, top-K scoring); the
 // cmd/seqfm-serve binary exposes it over HTTP.
 //
 // See the examples directory for runnable programs covering the paper's
